@@ -42,6 +42,25 @@ pub enum Json {
 }
 
 impl Json {
+    /// A non-negative count as a JSON integer, clamped to `i64::MAX`.
+    #[must_use]
+    pub fn count(n: u64) -> Json {
+        Json::Int(i64::try_from(n).unwrap_or(i64::MAX))
+    }
+
+    /// The `name: value` fields of a counter section (a
+    /// `nka_syntax::counter_table!` struct's `NAMES` and `values()`), in
+    /// table order — the one renderer behind the wire `stats` objects
+    /// and every `--stats --json` counter section.
+    #[must_use]
+    pub fn counter_fields(names: &[&str], values: &[u64]) -> Vec<(String, Json)> {
+        names
+            .iter()
+            .zip(values)
+            .map(|(name, &n)| ((*name).to_owned(), Json::count(n)))
+            .collect()
+    }
+
     /// Parses one JSON document, requiring it to span the whole input.
     ///
     /// # Errors

@@ -985,159 +985,132 @@ pub struct MemoryStats {
     pub queries_run: u64,
 }
 
-/// Cumulative counters of the static analyzer ([`Query::Analyze`])
-/// over a session's life — the `analyze` slice of `nka --stats` and
-/// the serve v2 stats block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnalysisStats {
-    /// Findings emitted, bucketed by [`analysis::PASS_NAMES`] index.
-    pub findings_by_pass: [u64; analysis::PASS_NAMES.len()],
-    /// Tier B `prog_eq`/zeroness decisions actually run on the engine
-    /// (certificate-cache misses).
-    pub tier_b_decides: u64,
-    /// Tier B checks answered from the session's certificate cache
-    /// without touching the engine.
-    pub cert_cache_hits: u64,
+nka_syntax::counter_table! {
+    /// Cumulative counters of the static analyzer ([`Query::Analyze`])
+    /// over a session's life — the `analyze` slice of `nka --stats` and
+    /// the serve v2 stats block.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AnalysisStats {
+        /// Tier B `prog_eq`/zeroness decisions actually run on the engine
+        /// (certificate-cache misses).
+        tier_b_decides,
+        /// Tier B checks answered from the session's certificate cache
+        /// without touching the engine.
+        cert_cache_hits,
+    }
+    extra {
+        /// Findings emitted, bucketed by [`analysis::PASS_NAMES`] index.
+        findings_by_pass: [u64; analysis::PASS_NAMES.len()],
+    }
 }
 
 impl AnalysisStats {
-    /// Counter-wise sum, for merging worker sessions.
-    #[must_use]
-    pub fn merged(&self, other: &AnalysisStats) -> AnalysisStats {
-        let mut findings_by_pass = self.findings_by_pass;
-        for (acc, x) in findings_by_pass.iter_mut().zip(other.findings_by_pass) {
-            *acc += x;
-        }
-        AnalysisStats {
-            findings_by_pass,
-            tier_b_decides: self.tier_b_decides + other.tier_b_decides,
-            cert_cache_hits: self.cert_cache_hits + other.cert_cache_hits,
-        }
-    }
-
     /// Total findings across all passes.
     #[must_use]
     pub fn findings_total(&self) -> u64 {
-        self.findings_by_pass.iter().sum()
-    }
-
-    /// Whether every counter is zero (no analyze traffic yet).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == AnalysisStats::default()
+        self.findings_by_pass
+            .iter()
+            .fold(0, |acc, &n| acc.saturating_add(n))
     }
 }
 
-/// Cumulative counters of the optimizer ([`Query::Optimize`]) over a
-/// session's life — the `optimize` slice of `nka --stats` and the
-/// serve v2 stats block.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OptimizeStats {
-    /// Optimize queries answered.
-    pub queries: u64,
-    /// Rewrite steps applied (each one engine-certified).
-    pub steps_applied: u64,
-    /// Applied steps bucketed by
-    /// [`nka_qprog::analysis::RULE_METADATA`] index.
-    pub steps_by_rule: [u64; optimize::RULE_COUNT],
-    /// Candidates the engine refuted — mostly hypothesis-bearing
-    /// (advisory) catalog rules the free-symbol algebra cannot
-    /// discharge (Theorem 4.5 is one-way).
-    pub candidates_refuted: u64,
-    /// Runs that terminated at a genuine fixpoint (no candidate left).
-    pub fixpoints: u64,
-    /// Runs that bailed on the step budget instead (cycling rule
-    /// filters, or `--max-steps` set below the fixpoint distance).
-    pub budget_bails: u64,
-    /// Candidates skipped because their encoding was already visited
-    /// this run — the seen-set that keeps cycling rule pairs finite.
-    pub cycle_breaks: u64,
-    /// Candidate/final certifications actually run on the engine
-    /// (certificate-cache misses).
-    pub engine_decides: u64,
-    /// Certifications answered from the session's certificate cache
-    /// without touching the engine.
-    pub cert_cache_hits: u64,
-}
-
-impl OptimizeStats {
-    /// Counter-wise sum, for merging worker sessions.
-    #[must_use]
-    pub fn merged(&self, other: &OptimizeStats) -> OptimizeStats {
-        let mut steps_by_rule = self.steps_by_rule;
-        for (acc, x) in steps_by_rule.iter_mut().zip(other.steps_by_rule) {
-            *acc += x;
-        }
-        OptimizeStats {
-            queries: self.queries + other.queries,
-            steps_applied: self.steps_applied + other.steps_applied,
-            steps_by_rule,
-            candidates_refuted: self.candidates_refuted + other.candidates_refuted,
-            fixpoints: self.fixpoints + other.fixpoints,
-            budget_bails: self.budget_bails + other.budget_bails,
-            cycle_breaks: self.cycle_breaks + other.cycle_breaks,
-            engine_decides: self.engine_decides + other.engine_decides,
-            cert_cache_hits: self.cert_cache_hits + other.cert_cache_hits,
-        }
+nka_syntax::counter_table! {
+    /// Cumulative counters of the optimizer ([`Query::Optimize`]) over a
+    /// session's life — the `optimize` slice of `nka --stats` and the
+    /// serve v2 stats block.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct OptimizeStats {
+        /// Optimize queries answered.
+        queries,
+        /// Rewrite steps applied (each one engine-certified).
+        steps_applied,
+        /// Candidates the engine refuted — mostly hypothesis-bearing
+        /// (advisory) catalog rules the free-symbol algebra cannot
+        /// discharge (Theorem 4.5 is one-way).
+        candidates_refuted,
+        /// Runs that terminated at a genuine fixpoint (no candidate left).
+        fixpoints,
+        /// Runs that bailed on the step budget instead (cycling rule
+        /// filters, or `--max-steps` set below the fixpoint distance).
+        budget_bails,
+        /// Candidates skipped because their encoding was already visited
+        /// this run — the seen-set that keeps cycling rule pairs finite.
+        cycle_breaks,
+        /// Candidate/final certifications actually run on the engine
+        /// (certificate-cache misses).
+        engine_decides,
+        /// Certifications answered from the session's certificate cache
+        /// without touching the engine.
+        cert_cache_hits,
     }
-
-    /// Whether every counter is zero (no optimize traffic yet).
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == OptimizeStats::default()
+    extra {
+        /// Applied steps bucketed by
+        /// [`nka_qprog::analysis::RULE_METADATA`] index.
+        steps_by_rule: [u64; optimize::RULE_COUNT],
     }
 }
 
-/// Cumulative warm-start counters of a session — the `snapshot` slice
-/// of `nka --stats` and the serve v2 stats block. Together with the
-/// engine's ordinary `answer_hits` these expose the tiered lookup:
-/// an in-process hit is an `answer_hit` that is *not* a
-/// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SnapshotStats {
-    /// Cache entries restored into this session from loaded snapshots
-    /// (verdicts + multisets + certificates).
-    pub restored_entries: u64,
-    /// Engine verdict-cache hits served by a restored entry.
-    pub snapshot_hits: u64,
-    /// Analyzer certificate-cache hits served by a restored entry.
-    pub cert_snapshot_hits: u64,
-    /// Snapshot loads that degraded to cold start (corrupt, stale,
-    /// version-mismatched, or config-mismatched files).
-    pub load_warnings: u64,
-    /// Successful snapshot dumps performed by this session.
-    pub dumps: u64,
-    /// Snapshot dumps that failed (I/O); the session keeps serving.
-    pub dump_failures: u64,
-    /// Creation time (unix seconds) of the most recently loaded
-    /// snapshot, for age reporting; `None` if nothing was restored.
-    pub loaded_created_unix_secs: Option<u64>,
+nka_syntax::counter_table! {
+    /// Cumulative warm-start counters of a session — the `snapshot` slice
+    /// of `nka --stats` and the serve v2 stats block. Together with the
+    /// engine's ordinary `answer_hits` these expose the tiered lookup:
+    /// an in-process hit is an `answer_hit` that is *not* a
+    /// `snapshot_hit`; a snapshot hit is both; everything else recomputes.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SnapshotStats {
+        /// Cache entries restored into this session from loaded snapshots
+        /// (verdicts + multisets + certificates).
+        restored_entries,
+        /// Engine verdict-cache hits served by a restored entry.
+        snapshot_hits,
+        /// Analyzer certificate-cache hits served by a restored entry.
+        cert_snapshot_hits,
+        /// Snapshot loads that degraded to cold start (corrupt, stale,
+        /// version-mismatched, or config-mismatched files).
+        load_warnings,
+        /// Successful snapshot dumps performed by this session.
+        dumps,
+        /// Snapshot dumps that failed (I/O); the session keeps serving.
+        dump_failures,
+    }
+    extra {
+        /// Creation time (unix seconds) of the most recently loaded
+        /// snapshot, for age reporting; `None` if nothing was restored.
+        /// Merging keeps the first present value (a pool shares one
+        /// snapshot, so they agree).
+        loaded_created_unix_secs: Option<u64>,
+    }
 }
 
-impl SnapshotStats {
-    /// Counter-wise sum, for merging worker sessions; the loaded
-    /// timestamp keeps the first present value (a pool shares one
-    /// snapshot, so they agree).
-    #[must_use]
-    pub fn merged(&self, other: &SnapshotStats) -> SnapshotStats {
-        SnapshotStats {
-            restored_entries: self.restored_entries + other.restored_entries,
-            snapshot_hits: self.snapshot_hits + other.snapshot_hits,
-            cert_snapshot_hits: self.cert_snapshot_hits + other.cert_snapshot_hits,
-            load_warnings: self.load_warnings + other.load_warnings,
-            dumps: self.dumps + other.dumps,
-            dump_failures: self.dump_failures + other.dump_failures,
-            loaded_created_unix_secs: self
-                .loaded_created_unix_secs
-                .or(other.loaded_created_unix_secs),
-        }
+nka_syntax::counter_table! {
+    /// Everything a session has counted, in one `Copy` value
+    /// ([`Session::counters`]): engine counters, term-size accounting,
+    /// recycles, queries, and the analyzer/optimizer/snapshot sections.
+    /// Worker pools and parallel batches fold their sessions into one
+    /// report with [`SessionCounters::merged`]; the `--stats` renderers
+    /// read it through `serve::StatsBlock`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SessionCounters {
+        /// Total tree nodes across queried expressions
+        /// ([`Session::expr_nodes_seen`]).
+        expr_nodes,
+        /// Distinct interned subterms across queried expressions
+        /// ([`Session::expr_subterms_seen`]).
+        expr_subterms,
+        /// Engine recycles ([`SessionOptions::recycle_after_queries`]).
+        engine_recycles,
+        /// Queries answered ([`Session::queries_run`]).
+        queries,
     }
-
-    /// Whether every counter is zero (no snapshot activity yet) — the
-    /// stats surfaces omit the section entirely in that case.
-    #[must_use]
-    pub fn is_zero(&self) -> bool {
-        *self == SnapshotStats::default()
+    extra {
+        /// Cumulative engine counters ([`Session::stats`]).
+        engine: DeciderStats,
+        /// Analyzer counters ([`Session::analysis_stats`]).
+        analysis: AnalysisStats,
+        /// Optimizer counters ([`Session::optimize_stats`]).
+        optimize: OptimizeStats,
+        /// Warm-start counters ([`Session::snapshot_stats`]).
+        snapshot: SnapshotStats,
     }
 }
 
@@ -1214,16 +1187,10 @@ pub struct Session {
     /// a `cert_snapshot_hit`. Cleared alongside `cert_cache`.
     restored_cert_keys: HashSet<(String, String)>,
     /// Warm-start counters ([`Session::snapshot_stats`]); cumulative,
-    /// surviving engine recycling. `retired_snapshot_hits` folds in the
-    /// hit counts of recycled engines (mirroring `retired_stats`).
-    snapshot_restored_entries: u64,
-    retired_snapshot_hits: u64,
-    cert_snapshot_hits: u64,
-    snapshot_load_warnings: u64,
-    snapshot_dumps: u64,
-    snapshot_dump_failures: u64,
-    /// Creation time of the most recently loaded snapshot.
-    snapshot_loaded_created: Option<u64>,
+    /// surviving engine recycling. Its `snapshot_hits` holds only the
+    /// hits of recycled engines (mirroring `retired_stats`); the live
+    /// engine's are added on read.
+    snapshot_stats: SnapshotStats,
 }
 
 /// The root-id key of [`Session::run`]'s term-stats memo. Equality /
@@ -1406,13 +1373,28 @@ impl Session {
     #[must_use]
     pub fn snapshot_stats(&self) -> SnapshotStats {
         SnapshotStats {
-            restored_entries: self.snapshot_restored_entries,
-            snapshot_hits: self.retired_snapshot_hits + self.engine.snapshot_hits(),
-            cert_snapshot_hits: self.cert_snapshot_hits,
-            load_warnings: self.snapshot_load_warnings,
-            dumps: self.snapshot_dumps,
-            dump_failures: self.snapshot_dump_failures,
-            loaded_created_unix_secs: self.snapshot_loaded_created,
+            snapshot_hits: self
+                .snapshot_stats
+                .snapshot_hits
+                .saturating_add(self.engine.snapshot_hits()),
+            ..self.snapshot_stats
+        }
+    }
+
+    /// Every counter of the session in one `Copy` value — what the
+    /// `--stats` surfaces aggregate across sessions with
+    /// [`SessionCounters::merged`]. Allocation-free.
+    #[must_use]
+    pub fn counters(&self) -> SessionCounters {
+        SessionCounters {
+            expr_nodes: self.expr_nodes_seen,
+            expr_subterms: self.expr_subterms_seen,
+            engine_recycles: self.engine_recycles,
+            queries: self.queries_run,
+            engine: self.stats(),
+            analysis: self.analysis_stats,
+            optimize: self.optimize_stats,
+            snapshot: self.snapshot_stats(),
         }
     }
 
@@ -1424,7 +1406,7 @@ impl Session {
     /// wrong answer. Returns the number of entries restored.
     pub fn load_snapshot(&mut self, snap: &LoadedSnapshot) -> usize {
         if snap.config != ConfigGuard::from_options(&self.opts.decide) {
-            self.snapshot_load_warnings += 1;
+            self.snapshot_stats.load_warnings += 1;
             return 0;
         }
         let mut restored = 0usize;
@@ -1446,8 +1428,8 @@ impl Session {
             self.cert_cache.insert(key, (cert.holds, cert.stats));
             restored += 1;
         }
-        self.snapshot_restored_entries += restored as u64;
-        self.snapshot_loaded_created = Some(snap.created_unix_secs);
+        self.snapshot_stats.restored_entries += restored as u64;
+        self.snapshot_stats.loaded_created_unix_secs = Some(snap.created_unix_secs);
         restored
     }
 
@@ -1466,7 +1448,7 @@ impl Session {
         match snapshot::load(path, &ConfigGuard::from_options(&self.opts.decide)) {
             Ok(snap) => Ok(self.load_snapshot(&snap)),
             Err(err) => {
-                self.snapshot_load_warnings += 1;
+                self.snapshot_stats.load_warnings += 1;
                 Err(err)
             }
         }
@@ -1513,11 +1495,11 @@ impl Session {
         let entries = builder.entry_count();
         match builder.write_to(path) {
             Ok(()) => {
-                self.snapshot_dumps += 1;
+                self.snapshot_stats.dumps += 1;
                 Ok(entries)
             }
             Err(err) => {
-                self.snapshot_dump_failures += 1;
+                self.snapshot_stats.dump_failures += 1;
                 Err(err)
             }
         }
@@ -1582,7 +1564,7 @@ impl Session {
             let _ = self.save_snapshot(&path);
         }
         self.retired_stats = self.retired_stats.merged(&self.engine.stats());
-        self.retired_snapshot_hits += self.engine.snapshot_hits();
+        self.snapshot_stats.snapshot_hits += self.engine.snapshot_hits();
         self.engine = Decider::with_options(self.opts.decide.clone());
         self.term_stats_cache.clear();
         self.term_stats_scratch_keys = 0;
@@ -1825,7 +1807,7 @@ impl Session {
                 .restored_cert_keys
                 .contains(&(p.to_owned(), q.to_owned()))
             {
-                self.cert_snapshot_hits += 1;
+                self.snapshot_stats.cert_snapshot_hits += 1;
             }
             return (hit.0, hit.1, true);
         }
@@ -2096,23 +2078,6 @@ pub fn run_batch_parallel(queries: &[Query], opts: &SessionOptions, jobs: usize)
     run_batch_parallel_traced(queries, opts, jobs, None).0
 }
 
-/// Worker-level accounting of a parallel batch
-/// ([`run_batch_parallel_traced`]): engine recycles plus every
-/// merged per-subsystem counter block — what `nka batch --jobs N
-/// --stats` reports.
-#[derive(Debug, Clone, Default)]
-pub struct BatchTrace {
-    /// Total engine recycles across all worker sessions
-    /// ([`SessionOptions::recycle_after_queries`]).
-    pub engine_recycles: u64,
-    /// Merged analyzer counters ([`Session::analysis_stats`]).
-    pub analysis: AnalysisStats,
-    /// Merged optimizer counters ([`Session::optimize_stats`]).
-    pub optimize: OptimizeStats,
-    /// Merged warm-start counters ([`Session::snapshot_stats`]).
-    pub snapshot: SnapshotStats,
-}
-
 /// Shared snapshot state for a (possibly chunked, possibly parallel)
 /// batch run — the `batch --jobs N --snapshot FILE` fix. The loaded
 /// snapshot is restored into every worker session at construction, and
@@ -2169,8 +2134,9 @@ impl BatchSnapshot {
     }
 }
 
-/// [`run_batch_parallel`] plus worker-level accounting (the merged
-/// [`BatchTrace`]) and optional snapshot plumbing: with a
+/// [`run_batch_parallel`] plus worker-level accounting (every worker
+/// session's [`SessionCounters`], merged) and optional snapshot
+/// plumbing: with a
 /// [`BatchSnapshot`], every worker session warm-starts from the loaded
 /// entries and exports its caches into the shared builder when its
 /// shard drains. Callers stream the same `BatchSnapshot` through every
@@ -2181,7 +2147,7 @@ pub fn run_batch_parallel_traced(
     opts: &SessionOptions,
     jobs: usize,
     snapshot: Option<&BatchSnapshot>,
-) -> (Vec<Response>, BatchTrace) {
+) -> (Vec<Response>, SessionCounters) {
     let make_session = || {
         let mut session = Session::with_options(opts.clone());
         if let Some(snap) = snapshot.and_then(|s| s.loaded.as_ref()) {
@@ -2194,23 +2160,18 @@ pub fn run_batch_parallel_traced(
             let mut builder = s.merge.lock().expect("snapshot merge lock poisoned");
             session.export_snapshot_into(&mut builder);
         }
-        BatchTrace {
-            engine_recycles: session.engine_recycles(),
-            analysis: session.analysis_stats(),
-            optimize: session.optimize_stats(),
-            snapshot: session.snapshot_stats(),
-        }
+        session.counters()
     };
     let jobs = jobs.clamp(1, queries.len().max(1));
     if jobs <= 1 {
         let mut session = make_session();
         let responses = session.run_all(queries);
-        let trace = drain_session(&mut session);
-        return (responses, trace);
+        let counters = drain_session(&mut session);
+        return (responses, counters);
     }
     let mut slots: Vec<Option<Response>> = Vec::new();
     slots.resize_with(queries.len(), || None);
-    let mut trace = BatchTrace::default();
+    let mut counters = SessionCounters::default();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..jobs)
             .map(|worker| {
@@ -2228,11 +2189,8 @@ pub fn run_batch_parallel_traced(
             })
             .collect();
         for handle in handles {
-            let (answered, worker_trace) = handle.join().expect("batch worker panicked");
-            trace.engine_recycles += worker_trace.engine_recycles;
-            trace.analysis = trace.analysis.merged(&worker_trace.analysis);
-            trace.optimize = trace.optimize.merged(&worker_trace.optimize);
-            trace.snapshot = trace.snapshot.merged(&worker_trace.snapshot);
+            let (answered, worker) = handle.join().expect("batch worker panicked");
+            counters = counters.merged(&worker);
             for (i, resp) in answered {
                 slots[i] = Some(resp);
             }
@@ -2242,12 +2200,79 @@ pub fn run_batch_parallel_traced(
         .into_iter()
         .map(|slot| slot.expect("every query answered exactly once"))
         .collect();
-    (responses, trace)
+    (responses, counters)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every counter section's `merged` saturates instead of
+    /// overflowing (plain `+` panics in debug builds): `u64::MAX`
+    /// merged with 1 stays `u64::MAX` in every field, scalar or not.
+    #[test]
+    fn every_counter_section_merge_saturates() {
+        fn check<T: nka_syntax::counters::Tally + std::fmt::Debug + PartialEq>(max: &T, one: &T) {
+            assert_eq!(&max.merged(one), max, "{max:?} + {one:?}");
+            assert_eq!(&one.merged(max), max, "{one:?} + {max:?}");
+        }
+        let engine = |n| DeciderStats::from_values([n; DeciderStats::NAMES.len()]);
+        check(&engine(u64::MAX), &engine(1));
+        let cert = |n| CertificateStats::from_values([n; CertificateStats::NAMES.len()]);
+        check(&cert(u64::MAX), &cert(1));
+        let analysis = |n| AnalysisStats {
+            findings_by_pass: [n; analysis::PASS_NAMES.len()],
+            ..AnalysisStats::from_values([n; AnalysisStats::NAMES.len()])
+        };
+        check(&analysis(u64::MAX), &analysis(1));
+        assert_eq!(analysis(u64::MAX).findings_total(), u64::MAX);
+        let optimize = |n| OptimizeStats {
+            steps_by_rule: [n; optimize::RULE_COUNT],
+            ..OptimizeStats::from_values([n; OptimizeStats::NAMES.len()])
+        };
+        check(&optimize(u64::MAX), &optimize(1));
+        let snapshot = |n| SnapshotStats {
+            loaded_created_unix_secs: Some(7),
+            ..SnapshotStats::from_values([n; SnapshotStats::NAMES.len()])
+        };
+        check(&snapshot(u64::MAX), &snapshot(1));
+        let serve = |n| crate::serve::ServeCounters {
+            worker_recycles: vec![n, n],
+            worker_queries: vec![n],
+            ..crate::serve::ServeCounters::from_values(
+                [n; crate::serve::ServeCounters::NAMES.len()],
+            )
+        };
+        check(&serve(u64::MAX), &serve(1));
+        let session = |n| SessionCounters {
+            engine: engine(n),
+            analysis: analysis(n),
+            optimize: optimize(n),
+            snapshot: snapshot(n),
+            ..SessionCounters::from_values([n; SessionCounters::NAMES.len()])
+        };
+        check(&session(u64::MAX), &session(1));
+    }
+
+    #[test]
+    fn session_counters_match_the_per_section_accessors() {
+        // Analyze only: its Tier B decides exercise the engine without
+        // promoting into the process arena, which concurrent tests watch.
+        let mut session = Session::new();
+        let query = Query::analyze("qubits 1; abort; h q0", &[] as &[&str]).unwrap();
+        let _ = session.run(&query);
+        let _ = session.run(&query);
+        let c = session.counters();
+        assert!(c.engine.nka_queries > 0 && c.analysis.cert_cache_hits > 0);
+        assert_eq!(c.engine, session.stats());
+        assert_eq!(c.analysis, session.analysis_stats());
+        assert_eq!(c.optimize, session.optimize_stats());
+        assert_eq!(c.snapshot, session.snapshot_stats());
+        assert_eq!(c.queries, 2);
+        assert_eq!(c.expr_nodes, session.expr_nodes_seen());
+        assert_eq!(c.expr_subterms, session.expr_subterms_seen());
+        assert_eq!(c.engine_recycles, 0);
+    }
 
     #[test]
     fn nka_and_ka_verdicts_disagree_on_idempotence() {
@@ -2607,7 +2632,7 @@ mod tests {
         // snapshot wholesale — cold, one warning, no wrong answers.
         let mismatched_opts = SessionOptions::builder()
             .decide(DecideOptions {
-                float_ablation: true,
+                starfree_max_words: DecideOptions::default().starfree_max_words + 1,
                 ..DecideOptions::default()
             })
             .build()
@@ -2864,7 +2889,6 @@ mod tests {
                 // construction (the fast path would answer it without
                 // consuming DFA budget).
                 starfree_max_words: 0,
-                ..DecideOptions::default()
             },
             ..SessionOptions::default()
         };

@@ -46,8 +46,9 @@ use super::{
 };
 #[cfg(doc)]
 use super::{QueryKind, Session};
-use crate::serve::stats::decider_stats_json;
+use nka_qprog::CertificateStats;
 use nka_syntax::Word;
+use nka_wfa::DeciderStats;
 
 /// The wire protocol version, emitted as `"v"` on every response line
 /// (and on the `--stats --json` object). Bumped only for breaking
@@ -376,20 +377,10 @@ fn certificate_json(cert: &nka_qprog::Certificate) -> Json {
         ),
         (
             "stats".to_owned(),
-            Json::Obj(vec![
-                (
-                    "starfree_hits".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.starfree_hits).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "prefix_hits".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.prefix_hits).unwrap_or(i64::MAX)),
-                ),
-                (
-                    "fastpath_fallbacks".to_owned(),
-                    Json::Int(i64::try_from(cert.stats.fastpath_fallbacks).unwrap_or(i64::MAX)),
-                ),
-            ]),
+            Json::Obj(Json::counter_fields(
+                &CertificateStats::NAMES,
+                &cert.stats.values(),
+            )),
         ),
     ])
 }
@@ -509,7 +500,13 @@ pub fn encode_response(query: &Query, resp: &Response) -> String {
         "expr_subterms".to_owned(),
         Json::Int(i64::try_from(resp.expr_subterms).unwrap_or(i64::MAX)),
     ));
-    fields.push(("stats".to_owned(), decider_stats_json(&resp.stats_delta)));
+    fields.push((
+        "stats".to_owned(),
+        Json::Obj(Json::counter_fields(
+            &DeciderStats::NAMES,
+            &resp.stats_delta.values(),
+        )),
+    ));
     fields.push((
         "micros".to_owned(),
         Json::Int(i64::try_from(resp.elapsed.as_micros()).unwrap_or(i64::MAX)),

@@ -58,9 +58,8 @@
 
 use super::stats::{OpHistograms, ServeCounters, StatsBlock};
 use crate::api::json::Json;
-use crate::api::{wire, AnalysisStats, OptimizeStats, Session, SessionOptions, SnapshotStats};
+use crate::api::{wire, Session, SessionCounters, SessionOptions};
 use crate::snapshot::{self, ConfigGuard, LoadedSnapshot, SnapshotBuilder};
-use nka_wfa::DeciderStats;
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -326,19 +325,6 @@ impl WorkerQueue {
     }
 }
 
-/// Per-worker published accounting, read by stats snapshots.
-#[derive(Debug, Default, Clone)]
-struct WorkerPub {
-    stats: DeciderStats,
-    expr_nodes: u64,
-    expr_subterms: u64,
-    recycles: u64,
-    queries: u64,
-    analysis: AnalysisStats,
-    optimize: OptimizeStats,
-    snapshot: SnapshotStats,
-}
-
 /// Plain counters of the serve layer (see [`ServeCounters`]).
 #[derive(Debug, Default)]
 struct Counters {
@@ -362,7 +348,10 @@ struct Shared {
     readers_live: AtomicUsize,
     next_worker: AtomicUsize,
     queues: Vec<WorkerQueue>,
-    published: Vec<Mutex<WorkerPub>>,
+    /// Each worker's cumulative session counters, republished after
+    /// every answered query (a `Copy`, so publishing never allocates)
+    /// and read by stats snapshots.
+    published: Vec<Mutex<SessionCounters>>,
     hists: OpHistograms,
     counters: Counters,
     /// The boot-time snapshot every worker restores from, if one loaded.
@@ -648,15 +637,8 @@ fn handle_request(
 
 /// Publishes a worker's cumulative session accounting for snapshots.
 fn publish_worker(shared: &Shared, index: usize, session: &Session) {
-    let mut slot = shared.published[index].lock().unwrap();
-    slot.stats = session.stats();
-    slot.expr_nodes = session.expr_nodes_seen();
-    slot.expr_subterms = session.expr_subterms_seen();
-    slot.recycles = session.engine_recycles();
-    slot.queries = session.queries_run();
-    slot.analysis = session.analysis_stats();
-    slot.optimize = session.optimize_stats();
-    slot.snapshot = session.snapshot_stats();
+    let counters = session.counters();
+    *shared.published[index].lock().unwrap() = counters;
 }
 
 /// The accept loop of one TCP listener.
@@ -770,53 +752,39 @@ impl ServerHandle {
     }
 
     /// A full stats snapshot ([`StatsBlock`]) aggregating every worker.
+    /// The query count and `qps` derive from the one per-op histogram
+    /// snapshot taken here, so they always agree with the per-op counts
+    /// even while workers keep recording.
     #[must_use]
     pub fn stats_block(&self) -> StatsBlock {
         let shared = &self.shared;
-        let mut engine = DeciderStats::default();
-        let mut expr_nodes = 0;
-        let mut expr_subterms = 0;
-        let mut recycles = 0;
-        let mut analysis = AnalysisStats::default();
-        let mut optimize = OptimizeStats::default();
-        let mut snapshot = SnapshotStats::default();
-        let mut worker_recycles = Vec::with_capacity(shared.published.len());
-        let mut worker_queries = Vec::with_capacity(shared.published.len());
-        for slot in &shared.published {
-            let w = slot.lock().unwrap().clone();
-            engine = engine.merged(&w.stats);
-            expr_nodes += w.expr_nodes;
-            expr_subterms += w.expr_subterms;
-            recycles += w.recycles;
-            analysis = analysis.merged(&w.analysis);
-            optimize = optimize.merged(&w.optimize);
-            snapshot = snapshot.merged(&w.snapshot);
-            worker_recycles.push(w.recycles);
-            worker_queries.push(w.queries);
-        }
-        snapshot.load_warnings += shared.snapshot_load_warnings.load(Ordering::Relaxed);
+        let workers: Vec<SessionCounters> = shared
+            .published
+            .iter()
+            .map(|slot| *slot.lock().unwrap())
+            .collect();
+        let mut counters = workers
+            .iter()
+            .fold(SessionCounters::default(), |acc, w| acc.merged(w));
+        counters.snapshot.load_warnings = counters
+            .snapshot
+            .load_warnings
+            .saturating_add(shared.snapshot_load_warnings.load(Ordering::Relaxed));
         let c = &shared.counters;
         StatsBlock {
-            engine,
-            expr_nodes,
-            expr_subterms,
-            engine_recycles: recycles,
-            queries: shared.hists.total(),
+            counters,
             elapsed: shared.started.elapsed(),
             ops: shared.hists.snapshot(),
-            analysis,
-            optimize,
-            snapshot,
             serve: Some(ServeCounters {
                 connections_opened: c.connections_opened.load(Ordering::Relaxed),
                 connections_closed: c.connections_closed.load(Ordering::Relaxed),
+                pending_now: shared.pending_total.load(Ordering::SeqCst) as u64,
                 rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
                 rejected_line_bytes: c.rejected_line_bytes.load(Ordering::Relaxed),
                 wire_errors: c.wire_errors.load(Ordering::Relaxed),
                 dropped_mid_response: c.dropped_mid_response.load(Ordering::Relaxed),
-                pending_now: shared.pending_total.load(Ordering::SeqCst) as u64,
-                worker_recycles,
-                worker_queries,
+                worker_recycles: workers.iter().map(|w| w.engine_recycles).collect(),
+                worker_queries: workers.iter().map(|w| w.queries).collect(),
             }),
         }
     }
@@ -887,7 +855,7 @@ impl Server {
             next_worker: AtomicUsize::new(0),
             queues: (0..cfg.workers).map(|_| WorkerQueue::default()).collect(),
             published: (0..cfg.workers)
-                .map(|_| Mutex::new(WorkerPub::default()))
+                .map(|_| Mutex::new(SessionCounters::default()))
                 .collect(),
             hists: OpHistograms::new(),
             counters: Counters::default(),
@@ -1034,8 +1002,50 @@ mod tests {
         handle.begin_drain(0, "test over");
         assert_eq!(server.join(), 0);
         let block = handle.stats_block();
-        assert_eq!(block.queries, 2);
+        assert_eq!(block.queries(), 2);
         assert!(block.serve.as_ref().unwrap().connections_opened >= 1);
+    }
+
+    #[test]
+    fn stats_block_queries_agree_with_its_per_op_counts_under_load() {
+        let server = Server::bind(
+            ServeConfig {
+                workers: 2,
+                json: true,
+                ..ServeConfig::default()
+            },
+            &[ListenAddr::Tcp("127.0.0.1:0".to_owned())],
+        )
+        .expect("bind");
+        let handle = server.handle();
+        let (mut reader, mut writer) = connect(&server);
+        let client = std::thread::spawn(move || {
+            let mut line = String::new();
+            // One repeated query: distinct terms would grow the
+            // process arena that concurrent tests measure.
+            for _ in 0..200 {
+                writeln!(writer, "p + p = p").unwrap();
+                line.clear();
+                reader.read_line(&mut line).unwrap();
+            }
+        });
+        // Snapshots taken while workers record: the reported total must
+        // be the sum of the very per-op counts it is reported beside.
+        for _ in 0..50 {
+            let value = handle.stats_block().to_json();
+            let Some(Json::Obj(ops)) = value.get("ops") else {
+                panic!("ops section");
+            };
+            let per_op: i64 = ops
+                .iter()
+                .filter_map(|(_, h)| h.get("count").and_then(Json::as_i64))
+                .sum();
+            assert_eq!(value.get("queries").and_then(Json::as_i64), Some(per_op));
+        }
+        client.join().unwrap();
+        handle.begin_drain(0, "load test over");
+        assert_eq!(server.join(), 0);
+        assert_eq!(handle.stats_block().queries(), 200);
     }
 
     #[test]
@@ -1113,9 +1123,9 @@ mod tests {
         handle.begin_drain(0, "idle-pool test over");
         assert_eq!(server.join(), 0);
         let block = handle.stats_block();
-        assert_eq!(block.queries, 2);
-        assert_eq!(block.optimize.queries, 1);
-        assert_eq!(block.optimize.steps_applied, 1);
+        assert_eq!(block.queries(), 2);
+        assert_eq!(block.counters.optimize.queries, 1);
+        assert_eq!(block.counters.optimize.steps_applied, 1);
         assert_eq!(block.ops.op(QueryKind::Optimize).count(), 1);
     }
 

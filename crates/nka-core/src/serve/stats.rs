@@ -20,7 +20,7 @@
 use super::histogram::{fmt_ns, HistogramSnapshot, LatencyHistogram};
 use crate::api::json::Json;
 use crate::api::wire::WIRE_VERSION;
-use crate::api::{AnalysisStats, OptimizeStats, QueryKind, SnapshotStats};
+use crate::api::{AnalysisStats, OptimizeStats, QueryKind, SessionCounters, SnapshotStats};
 use nka_qprog::analysis::{PASS_NAMES, RULE_METADATA};
 use nka_wfa::DeciderStats;
 use std::time::Duration;
@@ -119,67 +119,61 @@ impl OpSnapshots {
     }
 }
 
-/// Socket-server counters, present in the stats report only when the
-/// query stream came over `serve --listen`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ServeCounters {
-    /// Connections accepted over the server's life.
-    pub connections_opened: u64,
-    /// Connections fully closed (reader gone, queue drained).
-    pub connections_closed: u64,
-    /// Requests answered with a structured `overloaded` error because
-    /// the server-wide pending hard cap was exceeded.
-    pub rejected_overload: u64,
-    /// Requests answered with a structured error because one line
-    /// exceeded the per-line byte hard cap.
-    pub rejected_line_bytes: u64,
-    /// Malformed request lines answered with structured errors.
-    pub wire_errors: u64,
-    /// Connections dropped mid-response (client went away; EPIPE et
-    /// al.). Each costs only its own connection, never the process.
-    pub dropped_mid_response: u64,
-    /// Requests currently queued or running (point-in-time).
-    pub pending_now: u64,
-    /// Engine recycles per worker (`--max-queries-per-worker`), indexed
-    /// by worker id.
-    pub worker_recycles: Vec<u64>,
-    /// Queries answered per worker, indexed by worker id.
-    pub worker_queries: Vec<u64>,
+nka_syntax::counter_table! {
+    /// Socket-server counters, present in the stats report only when the
+    /// query stream came over `serve --listen`.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ServeCounters {
+        /// Connections accepted over the server's life.
+        connections_opened,
+        /// Connections fully closed (reader gone, queue drained).
+        connections_closed,
+        /// Requests currently queued or running (point-in-time).
+        pending_now,
+        /// Requests answered with a structured `overloaded` error because
+        /// the server-wide pending hard cap was exceeded.
+        rejected_overload,
+        /// Requests answered with a structured error because one line
+        /// exceeded the per-line byte hard cap.
+        rejected_line_bytes,
+        /// Malformed request lines answered with structured errors.
+        wire_errors,
+        /// Connections dropped mid-response (client went away; EPIPE et
+        /// al.). Each costs only its own connection, never the process.
+        dropped_mid_response,
+    }
+    extra {
+        /// Engine recycles per worker (`--max-queries-per-worker`), indexed
+        /// by worker id.
+        worker_recycles: Vec<u64>,
+        /// Queries answered per worker, indexed by worker id.
+        worker_queries: Vec<u64>,
+    }
 }
 
 /// Everything one `--stats` report contains. Build it, then call
 /// [`StatsBlock::render_human`] or [`StatsBlock::to_json`].
 #[derive(Debug, Clone)]
 pub struct StatsBlock {
-    /// Cumulative engine counters for the stream.
-    pub engine: DeciderStats,
-    /// Total tree nodes across queried expressions.
-    pub expr_nodes: u64,
-    /// Distinct interned subterms across queried expressions.
-    pub expr_subterms: u64,
-    /// Engine recycles across the stream's sessions.
-    pub engine_recycles: u64,
-    /// Queries answered (histogram total; includes every op).
-    pub queries: u64,
+    /// The merged counters of every session that answered the stream
+    /// (engine, term sizes, recycles, analyzer, optimizer, snapshot).
+    pub counters: SessionCounters,
     /// Wall-clock covered by the report.
     pub elapsed: Duration,
-    /// Per-op latency snapshots.
+    /// Per-op latency snapshots; their total is the report's query
+    /// count, so `queries`/`qps` always agree with the per-op counts.
     pub ops: OpSnapshots,
-    /// Static-analyzer counters (findings per pass, Tier B decides,
-    /// certificate cache hits); all-zero until the first `analyze`.
-    pub analysis: AnalysisStats,
-    /// Optimizer counters (steps per rule, refuted candidates,
-    /// fixpoints vs budget bails, certification cache traffic);
-    /// all-zero until the first `optimize`.
-    pub optimize: OptimizeStats,
-    /// Warm-start counters (restored entries, snapshot-tier hits,
-    /// dumps, load warnings); all-zero when no snapshot was involved.
-    pub snapshot: SnapshotStats,
     /// Socket-server section, if the stream was served over sockets.
     pub serve: Option<ServeCounters>,
 }
 
 impl StatsBlock {
+    /// Queries answered (every op's histogram count).
+    #[must_use]
+    pub fn queries(&self) -> u64 {
+        self.ops.total()
+    }
+
     /// Queries per second over the report's wall-clock window.
     #[must_use]
     pub fn qps(&self) -> f64 {
@@ -187,7 +181,7 @@ impl StatsBlock {
         if secs <= 0.0 {
             0.0
         } else {
-            self.queries as f64 / secs
+            self.queries() as f64 / secs
         }
     }
 
@@ -198,7 +192,8 @@ impl StatsBlock {
     /// when serving sockets, a `serve stats:` line.
     #[must_use]
     pub fn render_human(&self) -> String {
-        let s = &self.engine;
+        let c = &self.counters;
+        let s = &c.engine;
         let mut out = format!(
             "engine stats: {} NKA + {} KA queries, {} verdict hits, {} compiles ({} cached), {} determinizations ({} cached)\n",
             s.nka_queries,
@@ -215,8 +210,8 @@ impl StatsBlock {
         ));
         out.push_str(&format!(
             "expr stats: {} tree nodes over {} distinct subterms queried; {} expressions interned process-wide\n",
-            self.expr_nodes,
-            self.expr_subterms,
+            c.expr_nodes,
+            c.expr_subterms,
             nka_syntax::interned_expr_count(),
         ));
         out.push_str(&format!(
@@ -226,11 +221,11 @@ impl StatsBlock {
             nka_syntax::scratch_live_nodes(),
             nka_syntax::scratch_retired_total(),
             nka_syntax::scratch_epoch(),
-            self.engine_recycles,
+            c.engine_recycles,
         ));
         out.push_str(&format!(
             "latency stats: {} queries in {:.2}s ({:.1} q/s)\n",
-            self.queries,
+            self.queries(),
             self.elapsed.as_secs_f64(),
             self.qps(),
         ));
@@ -249,43 +244,43 @@ impl StatsBlock {
                 fmt_ns(h.mean_ns()),
             ));
         }
-        if !self.analysis.is_zero() {
+        if !c.analysis.is_zero() {
             let per_pass: Vec<String> = PASS_NAMES
                 .iter()
-                .zip(self.analysis.findings_by_pass)
+                .zip(c.analysis.findings_by_pass)
                 .filter(|(_, n)| *n > 0)
                 .map(|(pass, n)| format!("{pass}:{n}"))
                 .collect();
             out.push_str(&format!(
                 "analysis stats: {} findings [{}], {} Tier B decides, {} certificate cache hits\n",
-                self.analysis.findings_total(),
+                c.analysis.findings_total(),
                 per_pass.join(" "),
-                self.analysis.tier_b_decides,
-                self.analysis.cert_cache_hits,
+                c.analysis.tier_b_decides,
+                c.analysis.cert_cache_hits,
             ));
         }
-        if !self.optimize.is_zero() {
+        if !c.optimize.is_zero() {
             let per_rule: Vec<String> = RULE_METADATA
                 .iter()
-                .zip(self.optimize.steps_by_rule)
+                .zip(c.optimize.steps_by_rule)
                 .filter(|(_, n)| *n > 0)
                 .map(|(meta, n)| format!("{}:{n}", meta.name))
                 .collect();
             out.push_str(&format!(
                 "optimize stats: {} queries, {} steps [{}], {} refuted, {} fixpoints, {} budget bails, {} cycle breaks, {} engine decides, {} certificate cache hits\n",
-                self.optimize.queries,
-                self.optimize.steps_applied,
+                c.optimize.queries,
+                c.optimize.steps_applied,
                 per_rule.join(" "),
-                self.optimize.candidates_refuted,
-                self.optimize.fixpoints,
-                self.optimize.budget_bails,
-                self.optimize.cycle_breaks,
-                self.optimize.engine_decides,
-                self.optimize.cert_cache_hits,
+                c.optimize.candidates_refuted,
+                c.optimize.fixpoints,
+                c.optimize.budget_bails,
+                c.optimize.cycle_breaks,
+                c.optimize.engine_decides,
+                c.optimize.cert_cache_hits,
             ));
         }
-        if !self.snapshot.is_zero() {
-            let sn = &self.snapshot;
+        if !c.snapshot.is_zero() {
+            let sn = &c.snapshot;
             let age = sn.loaded_created_unix_secs.map_or_else(
                 || "-".to_owned(),
                 |created| {
@@ -344,10 +339,11 @@ impl StatsBlock {
     /// sockets.
     #[must_use]
     pub fn to_json(&self) -> Json {
-        let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
+        let int = Json::count;
+        let c = &self.counters;
         let mut fields = vec![
             ("v".to_owned(), Json::Int(WIRE_VERSION)),
-            ("queries".to_owned(), int(self.queries)),
+            ("queries".to_owned(), int(self.queries())),
             (
                 "elapsed_micros".to_owned(),
                 int(u64::try_from(self.elapsed.as_micros()).unwrap_or(u64::MAX)),
@@ -356,19 +352,25 @@ impl StatsBlock {
                 "qps".to_owned(),
                 Json::Int((self.qps().round() as i64).max(0)),
             ),
-            ("engine".to_owned(), decider_stats_json(&self.engine)),
+            (
+                "engine".to_owned(),
+                Json::Obj(Json::counter_fields(
+                    &DeciderStats::NAMES,
+                    &c.engine.values(),
+                )),
+            ),
             (
                 "expr".to_owned(),
                 Json::Obj(vec![
-                    ("nodes".to_owned(), int(self.expr_nodes)),
-                    ("subterms".to_owned(), int(self.expr_subterms)),
+                    ("nodes".to_owned(), int(c.expr_nodes)),
+                    ("subterms".to_owned(), int(c.expr_subterms)),
                     (
                         "interned".to_owned(),
                         int(nka_syntax::interned_expr_count() as u64),
                     ),
                 ]),
             ),
-            ("arena".to_owned(), arena_stats_json(self.engine_recycles)),
+            ("arena".to_owned(), arena_stats_json(c.engine_recycles)),
         ];
         let mut ops = Vec::new();
         for kind in OPS {
@@ -394,149 +396,78 @@ impl StatsBlock {
             ));
         }
         fields.push(("ops".to_owned(), Json::Obj(ops)));
-        fields.push((
-            "analysis".to_owned(),
-            Json::Obj(vec![
-                (
-                    "findings".to_owned(),
-                    Json::Obj(
-                        PASS_NAMES
-                            .iter()
-                            .zip(self.analysis.findings_by_pass)
-                            .map(|(pass, n)| ((*pass).to_owned(), int(n)))
-                            .collect(),
-                    ),
+        // The counter sections render from their tables; only the
+        // per-pass / per-rule name maps (with `findings_total`) and the
+        // snapshot age are placed by hand.
+        let mut analysis = vec![
+            (
+                "findings".to_owned(),
+                Json::Obj(
+                    PASS_NAMES
+                        .iter()
+                        .zip(c.analysis.findings_by_pass)
+                        .map(|(pass, n)| ((*pass).to_owned(), int(n)))
+                        .collect(),
                 ),
-                (
-                    "findings_total".to_owned(),
-                    int(self.analysis.findings_total()),
-                ),
-                (
-                    "tier_b_decides".to_owned(),
-                    int(self.analysis.tier_b_decides),
-                ),
-                (
-                    "cert_cache_hits".to_owned(),
-                    int(self.analysis.cert_cache_hits),
-                ),
-            ]),
+            ),
+            (
+                "findings_total".to_owned(),
+                int(c.analysis.findings_total()),
+            ),
+        ];
+        analysis.extend(Json::counter_fields(
+            &AnalysisStats::NAMES,
+            &c.analysis.values(),
         ));
-        fields.push((
-            "optimize".to_owned(),
-            Json::Obj(vec![
-                ("queries".to_owned(), int(self.optimize.queries)),
-                ("steps_applied".to_owned(), int(self.optimize.steps_applied)),
-                (
-                    "steps".to_owned(),
-                    Json::Obj(
-                        RULE_METADATA
-                            .iter()
-                            .zip(self.optimize.steps_by_rule)
-                            .map(|(meta, n)| (meta.name.to_owned(), int(n)))
-                            .collect(),
-                    ),
+        fields.push(("analysis".to_owned(), Json::Obj(analysis)));
+        let mut optimize = Json::counter_fields(&OptimizeStats::NAMES, &c.optimize.values());
+        // `steps` follows `steps_applied`, the total it breaks down.
+        optimize.insert(
+            2,
+            (
+                "steps".to_owned(),
+                Json::Obj(
+                    RULE_METADATA
+                        .iter()
+                        .zip(c.optimize.steps_by_rule)
+                        .map(|(meta, n)| (meta.name.to_owned(), int(n)))
+                        .collect(),
                 ),
-                (
-                    "candidates_refuted".to_owned(),
-                    int(self.optimize.candidates_refuted),
-                ),
-                ("fixpoints".to_owned(), int(self.optimize.fixpoints)),
-                ("budget_bails".to_owned(), int(self.optimize.budget_bails)),
-                ("cycle_breaks".to_owned(), int(self.optimize.cycle_breaks)),
-                (
-                    "engine_decides".to_owned(),
-                    int(self.optimize.engine_decides),
-                ),
-                (
-                    "cert_cache_hits".to_owned(),
-                    int(self.optimize.cert_cache_hits),
-                ),
-            ]),
+            ),
+        );
+        fields.push(("optimize".to_owned(), Json::Obj(optimize)));
+        let mut snapshot = Json::counter_fields(&SnapshotStats::NAMES, &c.snapshot.values());
+        snapshot.push((
+            "age_secs".to_owned(),
+            c.snapshot
+                .loaded_created_unix_secs
+                .map_or(Json::Null, |created| {
+                    int(crate::snapshot::now_unix_secs().saturating_sub(created))
+                }),
         ));
-        let sn = &self.snapshot;
-        fields.push((
-            "snapshot".to_owned(),
-            Json::Obj(vec![
-                ("restored_entries".to_owned(), int(sn.restored_entries)),
-                ("snapshot_hits".to_owned(), int(sn.snapshot_hits)),
-                ("cert_snapshot_hits".to_owned(), int(sn.cert_snapshot_hits)),
-                ("load_warnings".to_owned(), int(sn.load_warnings)),
-                ("dumps".to_owned(), int(sn.dumps)),
-                ("dump_failures".to_owned(), int(sn.dump_failures)),
-                (
-                    "age_secs".to_owned(),
-                    sn.loaded_created_unix_secs.map_or(Json::Null, |created| {
-                        int(crate::snapshot::now_unix_secs().saturating_sub(created))
-                    }),
-                ),
-            ]),
-        ));
+        fields.push(("snapshot".to_owned(), Json::Obj(snapshot)));
         if let Some(serve) = &self.serve {
-            fields.push((
-                "serve".to_owned(),
-                Json::Obj(vec![
-                    (
-                        "connections_opened".to_owned(),
-                        int(serve.connections_opened),
-                    ),
-                    (
-                        "connections_closed".to_owned(),
-                        int(serve.connections_closed),
-                    ),
-                    ("pending_now".to_owned(), int(serve.pending_now)),
-                    ("rejected_overload".to_owned(), int(serve.rejected_overload)),
-                    (
-                        "rejected_line_bytes".to_owned(),
-                        int(serve.rejected_line_bytes),
-                    ),
-                    ("wire_errors".to_owned(), int(serve.wire_errors)),
-                    (
-                        "dropped_mid_response".to_owned(),
-                        int(serve.dropped_mid_response),
-                    ),
-                    (
-                        "worker_recycles".to_owned(),
-                        Json::Arr(serve.worker_recycles.iter().map(|&n| int(n)).collect()),
-                    ),
-                    (
-                        "worker_queries".to_owned(),
-                        Json::Arr(serve.worker_queries.iter().map(|&n| int(n)).collect()),
-                    ),
-                ]),
-            ));
+            let mut section = Json::counter_fields(&ServeCounters::NAMES, &serve.values());
+            for (name, column) in [
+                ("worker_recycles", &serve.worker_recycles),
+                ("worker_queries", &serve.worker_queries),
+            ] {
+                section.push((
+                    name.to_owned(),
+                    Json::Arr(column.iter().map(|&n| int(n)).collect()),
+                ));
+            }
+            fields.push(("serve".to_owned(), Json::Obj(section)));
         }
         Json::Obj(fields)
     }
-}
-
-/// The [`DeciderStats`] counters as a JSON object — shared between the
-/// per-response `stats` field of the wire format and the `--stats
-/// --json` report.
-#[must_use]
-pub fn decider_stats_json(stats: &DeciderStats) -> Json {
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
-    Json::Obj(vec![
-        ("nka_queries".to_owned(), int(stats.nka_queries)),
-        ("ka_queries".to_owned(), int(stats.ka_queries)),
-        ("answer_hits".to_owned(), int(stats.answer_hits)),
-        ("compile_hits".to_owned(), int(stats.compile_hits)),
-        ("compile_misses".to_owned(), int(stats.compile_misses)),
-        ("dfa_hits".to_owned(), int(stats.dfa_hits)),
-        ("dfa_misses".to_owned(), int(stats.dfa_misses)),
-        ("starfree_hits".to_owned(), int(stats.starfree_hits)),
-        ("prefix_hits".to_owned(), int(stats.prefix_hits)),
-        (
-            "fastpath_fallbacks".to_owned(),
-            int(stats.fastpath_fallbacks),
-        ),
-    ])
 }
 
 /// The process-arena lifecycle figures as a JSON object (the JSON form
 /// of the `arena stats:` line).
 #[must_use]
 pub fn arena_stats_json(engine_recycles: u64) -> Json {
-    let int = |n: u64| Json::Int(i64::try_from(n).unwrap_or(i64::MAX));
+    let int = Json::count;
     Json::Obj(vec![
         (
             "resident_nodes".to_owned(),
@@ -572,20 +503,19 @@ mod tests {
         hists.record(QueryKind::NkaEq, Duration::from_micros(5));
         hists.record(QueryKind::ProgEq, Duration::from_millis(2));
         StatsBlock {
-            engine: DeciderStats {
-                nka_queries: 3,
-                starfree_hits: 1,
-                ..DeciderStats::default()
+            counters: SessionCounters {
+                engine: DeciderStats {
+                    nka_queries: 3,
+                    starfree_hits: 1,
+                    ..DeciderStats::default()
+                },
+                expr_nodes: 10,
+                expr_subterms: 7,
+                engine_recycles: 2,
+                ..SessionCounters::default()
             },
-            expr_nodes: 10,
-            expr_subterms: 7,
-            engine_recycles: 2,
-            queries: hists.total(),
             elapsed: Duration::from_secs(1),
             ops: hists.snapshot(),
-            analysis: AnalysisStats::default(),
-            optimize: OptimizeStats::default(),
-            snapshot: SnapshotStats::default(),
             serve,
         }
     }
@@ -660,11 +590,11 @@ mod tests {
         // With warm-start activity the human line appears and the JSON
         // reports a numeric age.
         let mut warm = sample_block(None);
-        warm.snapshot.restored_entries = 9;
-        warm.snapshot.snapshot_hits = 4;
-        warm.snapshot.cert_snapshot_hits = 2;
-        warm.snapshot.dumps = 1;
-        warm.snapshot.loaded_created_unix_secs = Some(crate::snapshot::now_unix_secs());
+        warm.counters.snapshot.restored_entries = 9;
+        warm.counters.snapshot.snapshot_hits = 4;
+        warm.counters.snapshot.cert_snapshot_hits = 2;
+        warm.counters.snapshot.dumps = 1;
+        warm.counters.snapshot.loaded_created_unix_secs = Some(crate::snapshot::now_unix_secs());
         let text = warm.render_human();
         assert!(
             text.contains("snapshot stats: 9 entries restored"),
@@ -705,10 +635,10 @@ mod tests {
         );
         // Non-zero counters: human line lists only the active passes.
         let mut busy = sample_block(None);
-        busy.analysis.tier_b_decides = 4;
-        busy.analysis.cert_cache_hits = 1;
-        busy.analysis.findings_by_pass[0] = 2; // unused_qubit
-        busy.analysis.findings_by_pass[5] = 1; // dead_branch
+        busy.counters.analysis.tier_b_decides = 4;
+        busy.counters.analysis.cert_cache_hits = 1;
+        busy.counters.analysis.findings_by_pass[0] = 2; // unused_qubit
+        busy.counters.analysis.findings_by_pass[5] = 1; // dead_branch
         let text = busy.render_human();
         assert!(
             text.contains(
@@ -738,16 +668,16 @@ mod tests {
         );
         // Non-zero counters: human line lists only the rules that fired.
         let mut busy = sample_block(None);
-        busy.optimize.queries = 2;
-        busy.optimize.steps_applied = 3;
+        busy.counters.optimize.queries = 2;
+        busy.counters.optimize.steps_applied = 3;
         let abort_sink = nka_qprog::optimize::rule_index("abort-sink").unwrap();
         let dead_branch = nka_qprog::optimize::rule_index("dead-branch").unwrap();
-        busy.optimize.steps_by_rule[abort_sink] = 2;
-        busy.optimize.steps_by_rule[dead_branch] = 1;
-        busy.optimize.candidates_refuted = 1;
-        busy.optimize.fixpoints = 2;
-        busy.optimize.engine_decides = 5;
-        busy.optimize.cert_cache_hits = 2;
+        busy.counters.optimize.steps_by_rule[abort_sink] = 2;
+        busy.counters.optimize.steps_by_rule[dead_branch] = 1;
+        busy.counters.optimize.candidates_refuted = 1;
+        busy.counters.optimize.fixpoints = 2;
+        busy.counters.optimize.engine_decides = 5;
+        busy.counters.optimize.cert_cache_hits = 2;
         let text = busy.render_human();
         assert!(
             text.contains(

@@ -17,7 +17,7 @@
 //!
 //! | section   | contents                                                       |
 //! |-----------|----------------------------------------------------------------|
-//! | header    | creation time (unix secs), config guard (`float_ablation`, `starfree_max_words`) |
+//! | header    | creation time (unix secs), config guard (`starfree_max_words`) |
 //! | symbols   | count + length-prefixed UTF-8 names                            |
 //! | exprs     | count + tagged nodes in post-order (children precede parents; child indices must be smaller than the node's own index) |
 //! | verdicts  | NKA then KA: count + `(lhs idx, rhs idx, verdict)` triples     |
@@ -54,19 +54,17 @@ use std::time::{SystemTime, UNIX_EPOCH};
 pub const MAGIC: [u8; 8] = *b"NKASNAP.";
 
 /// The current snapshot format version. Bump on any layout change; a
-/// reader seeing an unknown version degrades to cold start.
-pub const VERSION: u32 = 1;
+/// reader seeing an unknown version degrades to cold start. (v2 dropped
+/// the `float_ablation` byte from the config guard.)
+pub const VERSION: u32 = 2;
 
 /// The subset of [`DecideOptions`] that affects what cached entries
 /// *mean*. A snapshot written under one guard must not be restored into
-/// an engine running under a different one: `float_ablation` changes the
-/// zeroness arithmetic and `starfree_max_words` changes which multisets
-/// were admissible. (`max_dfa_states` is a resource budget only — it can
+/// an engine running under a different one: `starfree_max_words`
+/// changes which multisets were admissible. (`max_dfa_states` is a resource budget only — it can
 /// differ freely, so it is deliberately not part of the guard.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigGuard {
-    /// Whether the unsound `f64` zeroness ablation was active.
-    pub float_ablation: bool,
     /// The star-free fast-path word budget the entries were computed under.
     pub starfree_max_words: u64,
 }
@@ -76,7 +74,6 @@ impl ConfigGuard {
     #[must_use]
     pub fn from_options(opts: &DecideOptions) -> ConfigGuard {
         ConfigGuard {
-            float_ablation: opts.float_ablation,
             starfree_max_words: opts.starfree_max_words as u64,
         }
     }
@@ -340,7 +337,6 @@ impl SnapshotBuilder {
     pub fn encode(&self, created_unix_secs: u64) -> Vec<u8> {
         let mut body = Vec::new();
         push_u64(&mut body, created_unix_secs);
-        body.push(u8::from(self.config.float_ablation));
         push_u64(&mut body, self.config.starfree_max_words);
         push_u32(&mut body, self.symbols.len() as u32);
         for name in &self.symbols {
@@ -396,9 +392,9 @@ impl SnapshotBuilder {
             push_bytes(&mut body, cert.p.as_bytes());
             push_bytes(&mut body, cert.q.as_bytes());
             body.push(u8::from(cert.holds));
-            push_u64(&mut body, cert.stats.starfree_hits);
-            push_u64(&mut body, cert.stats.prefix_hits);
-            push_u64(&mut body, cert.stats.fastpath_fallbacks);
+            for counter in cert.stats.values() {
+                push_u64(&mut body, counter);
+            }
         }
         let mut out = Vec::with_capacity(20 + body.len());
         out.extend_from_slice(&MAGIC);
@@ -518,11 +514,6 @@ impl Snapshot {
             pos: 0,
         };
         let created_unix_secs = cur.u64()?;
-        let float_ablation = match cur.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Malformed("config flag out of range")),
-        };
         let starfree_max_words = cur.u64()?;
         let symbol_count = cur.u32()? as usize;
         let mut symbols = Vec::new();
@@ -619,11 +610,11 @@ impl Snapshot {
                 1 => true,
                 _ => return Err(SnapshotError::Malformed("certificate flag out of range")),
             };
-            let stats = CertificateStats {
-                starfree_hits: cur.u64()?,
-                prefix_hits: cur.u64()?,
-                fastpath_fallbacks: cur.u64()?,
-            };
+            let mut counters = [0; CertificateStats::NAMES.len()];
+            for counter in &mut counters {
+                *counter = cur.u64()?;
+            }
+            let stats = CertificateStats::from_values(counters);
             certs.push(CertEntry { p, q, holds, stats });
         }
         if cur.pos != body.len() {
@@ -633,10 +624,7 @@ impl Snapshot {
         }
         Ok(Snapshot {
             created_unix_secs,
-            config: ConfigGuard {
-                float_ablation,
-                starfree_max_words,
-            },
+            config: ConfigGuard { starfree_max_words },
             symbols,
             nodes,
             nka,
@@ -1007,8 +995,7 @@ mod tests {
         let snap = Snapshot::decode(&bytes).unwrap();
         assert_eq!(snap.config, guard());
         let other = ConfigGuard {
-            float_ablation: true,
-            ..guard()
+            starfree_max_words: guard().starfree_max_words + 1,
         };
         // Via the one-step loader.
         let dir = std::env::temp_dir().join(format!("nka-snap-test-{}", std::process::id()));
@@ -1043,7 +1030,6 @@ mod tests {
         // child constraint: node 0 is a Star of node 0.
         let mut body = Vec::new();
         push_u64(&mut body, 0); // created
-        body.push(0); // float_ablation
         push_u64(&mut body, 8192); // starfree_max_words
         push_u32(&mut body, 0); // no symbols
         push_u32(&mut body, 1); // one node

@@ -25,6 +25,7 @@
 //! # Ok::<(), nka_syntax::ParseExprError>(())
 //! ```
 
+pub mod counters;
 mod expr;
 mod generator;
 mod parser;

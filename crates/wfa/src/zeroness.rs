@@ -81,7 +81,11 @@ pub fn is_zero_series(wfa: &Wfa<BigRational>) -> bool {
 
 /// `f64` variant of [`is_zero_series`] with a tolerance — **unsound**, kept
 /// only as a benchmark ablation demonstrating why exact arithmetic is
-/// required (see `DESIGN.md` §6 and the `decide_scaling` bench).
+/// required: rounding in the forward basis can push a genuinely nonzero
+/// coefficient under `tol` (or lift a zero one over it), so a verdict
+/// built on it is not a decision. No engine path calls it; the
+/// `decide/f64_ablation` group of the `decide_scaling` bench (README
+/// "Benchmarks") measures it on the restricted difference automaton.
 pub fn is_zero_series_f64(wfa: &Wfa<BigRational>, tol: f64) -> bool {
     let n = wfa.state_count();
     let symbols: Vec<Symbol> = wfa.symbols().collect();

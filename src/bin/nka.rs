@@ -106,14 +106,12 @@
 
 use nka_core::api::json::Json;
 use nka_core::api::{
-    run_batch_parallel_traced, wire, AnalysisStats, ApiError, BatchSnapshot, OptimizeStats, Query,
-    Session, SessionOptions, SnapshotStats, Verdict, DEFAULT_OPTIMIZE_BEAM,
-    DEFAULT_OPTIMIZE_MAX_STEPS,
+    run_batch_parallel_traced, wire, ApiError, BatchSnapshot, Query, Session, SessionCounters,
+    SessionOptions, Verdict, DEFAULT_OPTIMIZE_BEAM, DEFAULT_OPTIMIZE_MAX_STEPS,
 };
 use nka_core::serve::{ListenAddr, OpHistograms, ServeConfig, Server, StatsBlock};
 use nka_core::snapshot::Snapshot;
 use nka_core::Judgment;
-use nka_wfa::DeciderStats;
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -144,53 +142,6 @@ const USAGE: &str = "usage:\n  nka [--budget N] [--stats] [--json] decide '<expr
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
     ExitCode::from(EXIT_USAGE)
-}
-
-/// What `--stats` aggregates while a stream runs: engine counters plus
-/// the Expr API v2 term-size accounting, from whichever sessions
-/// answered it. Rendered at exit through [`StatsBlock`] (human text or,
-/// with `--json`, one JSON object).
-struct StatsReport {
-    stats: DeciderStats,
-    expr_nodes: u64,
-    expr_subterms: u64,
-    engine_recycles: u64,
-    analysis: AnalysisStats,
-    optimize: OptimizeStats,
-    snapshot: SnapshotStats,
-}
-
-impl StatsReport {
-    fn of_session(session: &Session) -> StatsReport {
-        StatsReport {
-            stats: session.stats(),
-            expr_nodes: session.expr_nodes_seen(),
-            expr_subterms: session.expr_subterms_seen(),
-            engine_recycles: session.engine_recycles(),
-            analysis: session.analysis_stats(),
-            optimize: session.optimize_stats(),
-            snapshot: session.snapshot_stats(),
-        }
-    }
-
-    /// Pairs the engine aggregates with the CLI's latency histograms
-    /// into the renderable report.
-    fn into_block(self, elapsed: Duration, hists: &OpHistograms) -> StatsBlock {
-        let ops = hists.snapshot();
-        StatsBlock {
-            engine: self.stats,
-            expr_nodes: self.expr_nodes,
-            expr_subterms: self.expr_subterms,
-            engine_recycles: self.engine_recycles,
-            queries: ops.total(),
-            elapsed,
-            ops,
-            analysis: self.analysis,
-            optimize: self.optimize,
-            snapshot: self.snapshot,
-            serve: None,
-        }
-    }
 }
 
 /// Prints the `--stats` report to stderr in the selected format.
@@ -469,9 +420,9 @@ fn main() -> ExitCode {
     let hists = OpHistograms::new();
     let started = Instant::now();
     // The parallel batch path runs on worker sessions, not `session`;
-    // it reports its aggregated stats here. The socket server reports
+    // it reports their merged counters here. The socket server reports
     // a complete block of its own (including the serve counters).
-    let mut report: Option<StatsReport> = None;
+    let mut report: Option<SessionCounters> = None;
     let mut server_block: Option<StatsBlock> = None;
     let code = match command {
         Some("serve") if rest.len() == 1 && !listen.is_empty() => {
@@ -574,12 +525,12 @@ fn main() -> ExitCode {
         }
     }
     if stats {
-        let block = match server_block {
-            Some(block) => block,
-            None => report
-                .unwrap_or_else(|| StatsReport::of_session(&session))
-                .into_block(started.elapsed(), &hists),
-        };
+        let block = server_block.unwrap_or_else(|| StatsBlock {
+            counters: report.unwrap_or_else(|| session.counters()),
+            elapsed: started.elapsed(),
+            ops: hists.snapshot(),
+            serve: None,
+        });
         print_stats(&block, json);
     }
     code
@@ -853,7 +804,7 @@ fn batch_parallel(
     jobs: usize,
     source: Option<&str>,
     snapshot_path: Option<&std::path::Path>,
-    report: &mut Option<StatsReport>,
+    report: &mut Option<SessionCounters>,
 ) -> ExitCode {
     let reader: Box<dyn BufRead> = match source {
         None | Some("-") => Box::new(std::io::stdin().lock()),
@@ -877,15 +828,7 @@ fn batch_parallel(
             }
         }
     }
-    let mut agg = StatsReport {
-        stats: DeciderStats::default(),
-        expr_nodes: 0,
-        expr_subterms: 0,
-        engine_recycles: 0,
-        analysis: AnalysisStats::default(),
-        optimize: OptimizeStats::default(),
-        snapshot: SnapshotStats::default(),
-    };
+    let mut agg = SessionCounters::default();
     let mut code = EXIT_OK;
     let mut read_error: Option<String> = None;
     let mut lineno = 0usize;
@@ -925,12 +868,9 @@ fn batch_parallel(
         }
 
         // Answer and flush this chunk before reading the next.
-        let (responses, trace) =
+        let (responses, counters) =
             run_batch_parallel_traced(&queries, opts, jobs, batch_snap.as_ref());
-        agg.engine_recycles += trace.engine_recycles;
-        agg.analysis = agg.analysis.merged(&trace.analysis);
-        agg.optimize = agg.optimize.merged(&trace.optimize);
-        agg.snapshot = agg.snapshot.merged(&trace.snapshot);
+        agg = agg.merged(&counters);
         for decoded in &lines {
             match decoded {
                 BatchLine::Skip => {}
@@ -938,9 +878,6 @@ fn batch_parallel(
                     let (query, resp) = (&queries[*i], &responses[*i]);
                     hists.record(query.kind(), resp.elapsed);
                     emit_response(query, resp, json);
-                    agg.stats = agg.stats.merged(&resp.stats_delta);
-                    agg.expr_nodes += resp.expr_nodes;
-                    agg.expr_subterms += resp.expr_subterms;
                     code = fold_exit(code, verdict_exit(&resp.verdict));
                 }
                 BatchLine::Error(lineno, err) => {
@@ -1076,10 +1013,6 @@ fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode 
                                 Json::Int(i64::try_from(s.created_unix_secs).unwrap_or(i64::MAX)),
                             ),
                             (
-                                "float_ablation".to_owned(),
-                                Json::Bool(s.config.float_ablation),
-                            ),
-                            (
                                 "starfree_max_words".to_owned(),
                                 Json::Int(
                                     i64::try_from(s.config.starfree_max_words).unwrap_or(i64::MAX),
@@ -1098,11 +1031,7 @@ fn snapshot_cmd(args: &[String], opts: &SessionOptions, json: bool) -> ExitCode 
                     let age =
                         nka_core::snapshot::now_unix_secs().saturating_sub(s.created_unix_secs);
                     out!("snapshot v{} ({file}), written {age}s ago", s.version);
-                    out!(
-                        "config: float_ablation={}, starfree_max_words={}",
-                        s.config.float_ablation,
-                        s.config.starfree_max_words
-                    );
+                    out!("config: starfree_max_words={}", s.config.starfree_max_words);
                     out!(
                         "entries: {} ({} NKA + {} KA verdicts, {} multisets, {} certs) over {} exprs / {} symbols",
                         s.entry_count(),

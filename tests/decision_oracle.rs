@@ -135,14 +135,14 @@ fn infinity_support_separations() {
 #[test]
 fn float_ablation_is_consistent_on_benign_inputs() {
     // The f64 arm of the DECIDE-SCALE ablation agrees on well-conditioned
-    // inputs (its unsoundness needs adversarial weights; see DESIGN.md §6).
-    use nka_quantum::wfa::decide::{decide_eq_with, DecideOptions};
-    let opts = DecideOptions {
-        float_ablation: true,
-        ..DecideOptions::default()
-    };
+    // inputs. Its unsoundness needs adversarial weights: rounding in the
+    // forward basis must push a nonzero coefficient under the tolerance.
+    let max_dfa_states = nka_quantum::wfa::DecideOptions::default().max_dfa_states;
     let cases = [("(a b)* a", "a (b a)*", true), ("a + a", "a", false)];
     for (l, r, expected) in cases {
-        assert_eq!(decide_eq_with(&e(l), &e(r), &opts).unwrap(), expected);
+        assert_eq!(
+            nka_bench::decide_f64_ablation(&e(l), &e(r), max_dfa_states),
+            Some(expected)
+        );
     }
 }

@@ -105,7 +105,7 @@ fn concurrent_connections_match_sequential_batch() {
     assert_eq!(server.join(), 0, "clean drain after a full mixed load");
     let block = handle.stats_block();
     let expected_queries = 4 * 2 * items.len() as u64;
-    assert_eq!(block.queries, expected_queries);
+    assert_eq!(block.queries(), expected_queries);
     let serve = block.serve.expect("serve counters present");
     assert_eq!(serve.connections_opened, 4);
     assert_eq!(serve.dropped_mid_response, 0);

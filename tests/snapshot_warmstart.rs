@@ -313,7 +313,11 @@ fn snapshot_subcommands_dump_inspect_and_verify() {
     assert_eq!(inspect.status.code(), Some(0));
     let value = Json::parse(String::from_utf8(inspect.stdout).expect("UTF-8").trim())
         .expect("inspect --json is one JSON object");
-    assert_eq!(value.get("v").and_then(Json::as_i64), Some(1));
+    // `inspect` reports the snapshot format version, not the wire one.
+    assert_eq!(
+        value.get("v").and_then(Json::as_i64),
+        Some(i64::from(nka_quantum::nka::snapshot::VERSION))
+    );
     assert!(value.get("entries").and_then(Json::as_i64) > Some(0));
     assert!(value.get("nka_verdicts").and_then(Json::as_i64).is_some());
     assert!(value.get("certs").and_then(Json::as_i64).is_some());
